@@ -8,7 +8,7 @@
 
 #include "bench_json.hpp"
 #include "common/texttable.hpp"
-#include "expcuts/expcuts.hpp"
+#include "expcuts/build_parallel.hpp"
 #include "expcuts/flat.hpp"
 #include "npsim/sim.hpp"
 #include "telemetry/profile.hpp"
@@ -84,7 +84,10 @@ int main(int argc, char** argv) {
 
   // --- POP_COUNT vs RISC bit counting (Sec. 5.4) ---
   std::cout << "\n-- instruction selection: POP_COUNT vs RISC loop --\n";
-  const expcuts::ExpCutsClassifier cls(rules);
+  // The packing ablation below re-emits this tree, so keep it.
+  const expcuts::BuiltTree tree =
+      expcuts::build_tree_parallel(rules, expcuts::Config{});
+  const expcuts::ExpCutsClassifier cls(tree);
   TextTable t3({"popcount", "avg_accesses", "avg_compute_cycles",
                 "throughput_mbps"});
   for (bool hw : {true, false}) {
@@ -155,11 +158,11 @@ int main(int argc, char** argv) {
     probe.node_offsets_out = &offsets;
     expcuts::Config cfg_v2 = cls.config();
     cfg_v2.layout = expcuts::kLayoutAligned;
-    const expcuts::FlatImage aligned(cls.nodes(), cls.root(), cfg_v2, true,
+    const expcuts::FlatImage aligned(tree.nodes, tree.root, cfg_v2, true,
                                      nullptr, &probe);
     expcuts::Config cfg_v1 = cls.config();
     cfg_v1.layout = expcuts::kLayoutLinear;
-    const expcuts::FlatImage linear(cls.nodes(), cls.root(), cfg_v1);
+    const expcuts::FlatImage linear(tree.nodes, tree.root, cfg_v1);
 
     telemetry::Profiler& prof = telemetry::Profiler::global();
     const bool was_active = telemetry::active();
@@ -172,11 +175,11 @@ int main(int argc, char** argv) {
     prof.set_enabled(false);
     const telemetry::HeatProfile heat = prof.snapshot();
     expcuts::FlatLayoutHints hints;
-    hints.node_heat.resize(cls.nodes().size());
+    hints.node_heat.resize(tree.nodes.size());
     for (std::size_t i = 0; i < offsets.size(); ++i) {
       hints.node_heat[i] = heat.expcuts.visits(offsets[i]);
     }
-    const expcuts::FlatImage clustered(cls.nodes(), cls.root(), cfg_v2, true,
+    const expcuts::FlatImage clustered(tree.nodes, tree.root, cfg_v2, true,
                                        nullptr, &hints);
 
     const int reps = report.quick() ? 3 : 5;

@@ -29,7 +29,7 @@
 #include "common/metrics.hpp"
 #include "common/stats.hpp"
 #include "common/texttable.hpp"
-#include "expcuts/expcuts.hpp"
+#include "expcuts/build_parallel.hpp"
 #include "expcuts/flat.hpp"
 #include "packet/tracegen.hpp"
 #include "perf/perf.hpp"
@@ -85,8 +85,10 @@ void run_tier(bench::BenchReport& report, const std::string& set,
               std::size_t packets, int reps) {
   const RuleSet rules = workload::generate_scale_ruleset(set);
   expcuts::Config cfg;
-  cfg.build_threads = 0;  // parallel builder; byte-identical output
-  const expcuts::ExpCutsClassifier cls(rules, cfg);
+  cfg.build_threads = 0;  // all cores; the tree is the same for any count
+  const expcuts::BuiltTree tree = expcuts::build_tree_parallel(rules, cfg);
+  const expcuts::Schedule sched =
+      expcuts::Schedule::make(tree.cfg.stride_w, tree.cfg.order);
 
   // The three packings of the same tree, exactly as bench_ablation_layout
   // builds them: the offset probe feeds heat captured from a sampled
@@ -94,13 +96,13 @@ void run_tier(bench::BenchReport& report, const std::string& set,
   std::vector<u32> offsets;
   expcuts::FlatLayoutHints probe;
   probe.node_offsets_out = &offsets;
-  expcuts::Config cfg_v2 = cls.config();
+  expcuts::Config cfg_v2 = tree.cfg;
   cfg_v2.layout = expcuts::kLayoutAligned;
-  const expcuts::FlatImage aligned(cls.nodes(), cls.root(), cfg_v2, true,
+  const expcuts::FlatImage aligned(tree.nodes, tree.root, cfg_v2, true,
                                    nullptr, &probe);
-  expcuts::Config cfg_v1 = cls.config();
+  expcuts::Config cfg_v1 = tree.cfg;
   cfg_v1.layout = expcuts::kLayoutLinear;
-  const expcuts::FlatImage linear(cls.nodes(), cls.root(), cfg_v1);
+  const expcuts::FlatImage linear(tree.nodes, tree.root, cfg_v1);
 
   TraceGenConfig tcfg;
   tcfg.count = packets;
@@ -115,25 +117,25 @@ void run_tier(bench::BenchReport& report, const std::string& set,
   prof.set_enabled(true);
   std::vector<RuleId> out(trace.size());
   aligned.lookup_batch(trace.packets().data(), out.data(), trace.size(),
-                       cls.schedule());
+                       sched);
   prof.set_enabled(false);
   const telemetry::HeatProfile heat = prof.snapshot();
   expcuts::FlatLayoutHints hints;
-  hints.node_heat.resize(cls.nodes().size());
+  hints.node_heat.resize(tree.nodes.size());
   for (std::size_t i = 0; i < offsets.size(); ++i) {
     hints.node_heat[i] = heat.expcuts.visits(offsets[i]);
   }
-  const expcuts::FlatImage clustered(cls.nodes(), cls.root(), cfg_v2, true,
+  const expcuts::FlatImage clustered(tree.nodes, tree.root, cfg_v2, true,
                                      nullptr, &hints);
   if (was_active) prof.set_enabled(true);  // restore --profile-sample
 
   std::vector<LayoutRun> runs;
   runs.push_back(
-      measure_layout("linear_v1", linear, trace, cls.schedule(), reps));
+      measure_layout("linear_v1", linear, trace, sched, reps));
   runs.push_back(
-      measure_layout("aligned_v2", aligned, trace, cls.schedule(), reps));
+      measure_layout("aligned_v2", aligned, trace, sched, reps));
   runs.push_back(
-      measure_layout("heat_clustered", clustered, trace, cls.schedule(), reps));
+      measure_layout("heat_clustered", clustered, trace, sched, reps));
 
   // Logical depth p99 over everything walked so far for this process —
   // the depth distribution is a property of the tree + trace, not of the

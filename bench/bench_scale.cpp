@@ -12,14 +12,20 @@
 //   --quick       100k tiers only, fewer packets/reps (the CI smoke lane)
 //   --sets=A,B    run only the named tiers (e.g. --sets=CR-1M)
 //
-// The full run also times the classic serial builder (up to 500k rules;
-// 1M serial builds are left to the reader's patience) so build_speedup
-// records the parallel payoff per machine. On a 1-core host the speedup
-// is ~1.0 by construction — the committed baseline documents the machine
-// it came from via the "machine" section, and cross-machine comparisons
-// gate on sizes, not seconds.
+// The full run also times a one-worker build of the same tree (up to
+// 500k rules; 1M serial builds are left to the reader's patience) so
+// build_speedup records the parallel payoff per machine. On a 1-core host
+// the speedup is ~1.0 by construction — the committed baseline documents
+// the machine it came from via the "machine" section, and cross-machine
+// comparisons gate on sizes, not seconds.
+//
+// Every --sets name must be a scale tier; an unknown name fails the run
+// (exit 2) before anything is generated or built.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,10 +68,9 @@ void run_tier(bench::BenchReport& report, const workload::ScaleSetSpec& spec,
   r.gen_seconds = seconds_since(t0);
 
   expcuts::Config cfg;
-  // 0 = one worker per hardware thread. The parallel builder's output is
+  // 0 = one worker per hardware thread. The builder's output is
   // byte-identical for every thread count, so image_bytes rows are
-  // machine-independent even though build_seconds are not — and a 1-core
-  // host still measures the parallel code path, not the classic builder.
+  // machine-independent even though build_seconds are not.
   cfg.build_threads = 0;
   t0 = std::chrono::steady_clock::now();
   const expcuts::ExpCutsClassifier cls(rules, cfg);
@@ -76,7 +81,7 @@ void run_tier(bench::BenchReport& report, const workload::ScaleSetSpec& spec,
 
   if (measure_serial) {
     t0 = std::chrono::steady_clock::now();
-    const expcuts::ExpCutsClassifier serial(rules);  // classic recursion
+    const expcuts::ExpCutsClassifier serial(rules);  // one worker
     r.serial_build_seconds = seconds_since(t0);
   }
 
@@ -168,6 +173,24 @@ int main(int argc, char** argv) {
       passthrough.push_back(argv[i]);
     }
   }
+  // Comma-separated exact tier names; every one must exist.
+  const std::vector<workload::ScaleSetSpec>& tiers =
+      workload::scale_rulesets();
+  std::vector<std::string> wanted;
+  std::string unknown;
+  std::istringstream names(sets_filter);
+  for (std::string name; std::getline(names, name, ',');) {
+    const bool known = std::any_of(
+        tiers.begin(), tiers.end(),
+        [&](const workload::ScaleSetSpec& t) { return name == t.name; });
+    if (!known) unknown += (unknown.empty() ? "" : ",") + name;
+    wanted.push_back(name);
+  }
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "bench_scale: unknown tier(s) in --sets: %s\n",
+                 unknown.c_str());
+    return 2;
+  }
   bench::BenchReport report("scale", static_cast<int>(passthrough.size()),
                             passthrough.data());
 
@@ -176,19 +199,8 @@ int main(int argc, char** argv) {
   const int reps = report.quick() ? 2 : 3;
 
   auto selected = [&](const workload::ScaleSetSpec& s) {
-    if (!sets_filter.empty()) {
-      // Comma-separated exact names.
-      std::size_t pos = 0;
-      const std::string name = s.name;
-      while (pos <= sets_filter.size()) {
-        const std::size_t comma = sets_filter.find(',', pos);
-        const std::size_t end =
-            comma == std::string::npos ? sets_filter.size() : comma;
-        if (sets_filter.compare(pos, end - pos, name) == 0) return true;
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
-      return false;
+    if (!wanted.empty()) {
+      return std::find(wanted.begin(), wanted.end(), s.name) != wanted.end();
     }
     return !report.quick() || s.rule_count == 100000;
   };
@@ -199,19 +211,12 @@ int main(int argc, char** argv) {
   report.config("strict_audit", true);
   report.config("simd", simd::name(simd::active()));
 
-  bool ran = false;
-  for (const workload::ScaleSetSpec& spec : workload::scale_rulesets()) {
+  for (const workload::ScaleSetSpec& spec : tiers) {
     if (!selected(spec)) continue;
-    ran = true;
     // Serial reference builds: always at 100k, in full runs up to 500k.
     const bool measure_serial =
         spec.rule_count <= (report.quick() ? 100000u : 500000u);
     run_tier(report, spec, packets, reps, measure_serial);
-  }
-  if (!ran) {
-    std::fprintf(stderr, "bench_scale: --sets=%s matched no tier\n",
-                 sets_filter.c_str());
-    return 2;
   }
   return report.write();
 }

@@ -38,7 +38,9 @@ void inspect(const RuleSet& rules) {
 
   // Data-structure footprints each algorithm would need for this set.
   TextTable t({"algorithm", "memory", "detail"});
-  const expcuts::ExpCutsClassifier ec(rules);
+  const expcuts::BuiltTree tree =
+      expcuts::build_tree_parallel(rules, expcuts::Config{});
+  const expcuts::ExpCutsClassifier ec(tree);
   t.add("ExpCuts", format_bytes(static_cast<double>(ec.footprint().bytes)),
         ec.footprint().detail);
   const hicuts::HiCutsClassifier hc(rules);
@@ -48,7 +50,7 @@ void inspect(const RuleSet& rules) {
   t.add("HSM", format_bytes(static_cast<double>(hs.footprint().bytes)),
         hs.footprint().detail);
   t.print(std::cout);
-  std::cout << "\nExpCuts level profile:\n" << expcuts::level_report(ec);
+  std::cout << "\nExpCuts level profile:\n" << expcuts::level_report(tree);
 }
 
 }  // namespace

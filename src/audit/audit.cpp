@@ -28,7 +28,7 @@ void json_escape(std::ostream& os, std::string_view s) {
 
 AuditReport audit_classifier(const expcuts::ExpCutsClassifier& cls) {
   AuditOptions opts;
-  opts.rule_count = static_cast<u32>(cls.rules().size());
+  opts.rule_count = static_cast<u32>(cls.rule_count());
   return audit_flat_image(cls.flat(), cls.schedule().depth(), opts);
 }
 

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <queue>
 #include <thread>
 #include <unordered_map>
 
 #include "common/error.hpp"
 #include "engine/thread_pool.hpp"
+#include "geom/box.hpp"
 
 namespace pclass {
 namespace expcuts {
@@ -54,8 +56,10 @@ struct SubProblem {
   u32 level = 0;
 };
 
-/// Mirrors ExpCutsClassifier's priority pruning + decided test: returns
-/// true and sets `leaf` when the sub-problem is already a leaf.
+/// Priority pruning (rules after the first one that covers the box can
+/// never win inside it) + the decided test (binth = 1: the first
+/// remaining rule covers the box). Returns true and sets `leaf` when the
+/// sub-problem is already a leaf.
 bool normalize(const RuleSet& rules, const Box& box, std::vector<RuleId>& ids,
                Ptr& leaf) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -75,9 +79,9 @@ bool normalize(const RuleSet& rules, const Box& box, std::vector<RuleId>& ids,
   return false;
 }
 
-/// Partitions one node exactly like the classic builder: clip each rule
-/// into the 2^w slots of the level's chunk, then merge maximal safe runs
-/// (identical lists whose every rule covers the run's full span). Calls
+/// Partitions one node: clip each rule into the 2^w slots of the level's
+/// chunk, then merge maximal safe runs (identical lists whose every rule
+/// covers the run's full span). Calls
 /// `child(box, ids, slot_lo, slot_hi)` once per merged run, and
 /// `passthrough(ids)` instead when the extent is unaligned (a saturated
 /// dimension from an earlier safe merge: all slots share one child).
@@ -137,8 +141,9 @@ void partition_node(const RuleSet& rules, const Schedule& sched,
 }
 
 /// Recursive builder for one frontier subtree: local node block, local
-/// memo (same equivalence as the classic builder's, capped at
-/// kMemoMaxIds), shared budget.
+/// memo (capped at kMemoMaxIds), shared budget. Memo keys are exact: two
+/// sub-problems with the same pruned rule list, level and geometry up to
+/// saturated dimensions build identical subtrees.
 class SubtreeBuilder {
  public:
   SubtreeBuilder(const RuleSet& rules, const Config& cfg,
@@ -215,6 +220,10 @@ class SubtreeBuilder {
           break;
         }
       }
+      // A saturated dimension cannot influence the subtree: all its
+      // further cuts are uniform pass-throughs and all cover tests along
+      // it succeed for every rule in `ids`, so sub-problems differing
+      // only there are equivalent; the (1, 0) sentinel stands for them.
       key.extents[d] = saturated ? std::pair<u64, u64>{1, 0}
                                  : std::pair{extent.lo, extent.hi};
     }
@@ -429,7 +438,7 @@ std::vector<Node> dedup_nodes(std::vector<Node> nodes, Ptr& root,
   return out;
 }
 
-BuiltTree attempt(const RuleSet& rules, const Config& cfg, unsigned threads) {
+BuiltTree attempt(const RuleSet& rules, const Config& cfg, ThreadPool* pool) {
   const Schedule sched = Schedule::make(cfg.stride_w, cfg.order);
   BudgetState budget;
   budget.budget_words = cfg.memory_budget_bytes / sizeof(u32);
@@ -437,8 +446,9 @@ BuiltTree attempt(const RuleSet& rules, const Config& cfg, unsigned threads) {
   Decomposition d = decompose(rules, cfg, sched, budget);
   BuiltTree t;
   t.cfg = cfg;
+  t.rule_count = rules.size();
   t.stats.stride_w = cfg.stride_w;
-  t.stats.threads = threads;
+  t.stats.threads = pool != nullptr ? pool->thread_count() : 1;
   if (d.root_is_leaf) {
     t.root = d.root_leaf;
     return t;
@@ -464,12 +474,11 @@ BuiltTree attempt(const RuleSet& rules, const Config& cfg, unsigned threads) {
       budget_hit.store(true, std::memory_order_relaxed);
     }
   };
-  if (threads > 1 && d.frontier.size() > 1) {
-    ThreadPool pool(threads);
+  if (pool != nullptr && d.frontier.size() > 1) {
     for (std::size_t i = 0; i < d.frontier.size(); ++i) {
-      pool.submit([&run_task, i] { run_task(i); });
+      pool->submit([&run_task, i] { run_task(i); });
     }
-    pool.wait_idle();
+    pool->wait_idle();
   } else {
     for (std::size_t i = 0; i < d.frontier.size(); ++i) run_task(i);
   }
@@ -516,8 +525,12 @@ BuiltTree attempt(const RuleSet& rules, const Config& cfg, unsigned threads) {
   }
   t.root = d.spine.empty() ? resolve_slot(task_ref(0)) : spine_pos(0);
 
-  // Phase 3b: cross-subtree dedup.
-  nodes = dedup_nodes(std::move(nodes), t.root, &t.stats.node_count_raw);
+  // Phase 3b: cross-subtree dedup (part of subtree sharing).
+  if (cfg.share_subtrees) {
+    nodes = dedup_nodes(std::move(nodes), t.root, &t.stats.node_count_raw);
+  } else {
+    t.stats.node_count_raw = nodes.size();
+  }
   t.stats.node_count = nodes.size();
   t.nodes = std::move(nodes);
   return t;
@@ -540,14 +553,21 @@ unsigned effective_build_threads(u32 build_threads) {
   return hc == 0 ? 1 : hc;
 }
 
-BuiltTree build_tree_parallel(const RuleSet& rules, const Config& cfg_in) {
+BuiltTree build_tree_parallel(const RuleSet& rules, const Config& cfg_in,
+                              ThreadPool* pool) {
   Config cfg = cfg_in;
   cfg.habs_v = std::min({cfg.habs_v, cfg.stride_w, 4u});
+  // One pool for every attempt; a caller's pool fixes the worker count.
+  std::unique_ptr<ThreadPool> own_pool;
   const unsigned threads = effective_build_threads(cfg.build_threads);
+  if (pool == nullptr && threads > 1) {
+    own_pool = std::make_unique<ThreadPool>(threads);
+    pool = own_pool.get();
+  }
   u32 degrade_steps = 0;
   for (;;) {
     try {
-      BuiltTree t = attempt(rules, cfg, threads);
+      BuiltTree t = attempt(rules, cfg, pool);
       t.stats.degrade_steps = degrade_steps;
       return t;
     } catch (const BudgetExceeded&) {
@@ -557,7 +577,7 @@ BuiltTree build_tree_parallel(const RuleSet& rules, const Config& cfg_in) {
         // degrades the image, it never fails the build.
         Config last = cfg;
         last.memory_budget_bytes = 0;
-        BuiltTree t = attempt(rules, last, threads);
+        BuiltTree t = attempt(rules, last, pool);
         t.cfg.memory_budget_bytes = cfg_in.memory_budget_bytes;
         t.stats.degrade_steps = degrade_steps;
         return t;

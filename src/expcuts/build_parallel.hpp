@@ -1,17 +1,14 @@
-// Parallel ExpCuts tree construction with a memory budget.
+// ExpCuts tree construction: the one builder, serial or parallel.
 //
-// The classic builder (expcuts.cpp) is a single-threaded recursion; at
-// ClassBench scale (100k..1M rules, ROADMAP item 2) its wall-clock and
-// its transient pointer-array burst both become the bottleneck. This
-// module builds the *same* tree in three deterministic phases:
+// Builds the tree in three deterministic phases:
 //
 //   1. spine expansion (serial) — expand nodes from the root, always the
 //      largest remaining sub-problem first, until a fixed-size frontier
 //      of independent sub-problems exists. The policy depends only on
 //      the rule set, never on the thread count.
-//   2. subtree construction (parallel) — each frontier sub-problem is
-//      built by an isolated SubtreeBuilder (own node block, own memo) on
-//      the shared ThreadPool.
+//   2. subtree construction — each frontier sub-problem is built by an
+//      isolated SubtreeBuilder (own node block, own memo), on the
+//      ThreadPool when there is more than one worker, inline otherwise.
 //   3. stitch + dedup (serial) — blocks are concatenated in frontier
 //      order, pointers rebased, the spine appended children-first, and a
 //      structural hash-consing pass re-merges identical subtrees that
@@ -19,18 +16,21 @@
 //
 // Because every phase is a deterministic function of (rules, config),
 // the emitted node array — and therefore the serialized image and its
-// checksum — is bit-identical for any thread count, including 1. The
-// parallel-vs-serial differential in tests/build_parallel_test.cpp
-// holds the builder to exactly that.
+// checksum — is bit-identical for any thread count, including 1.
+// tests/build_parallel_test.cpp holds the builder to exactly that.
+//
+// Config::share_subtrees = false turns off both the per-task memo and
+// the dedup pass, leaving the fully unshared tree the layout ablation
+// measures.
 //
 // Memory budget: Config::memory_budget_bytes bounds the builder's
-// transient burst — the full 2^w pointer arrays all build strategies
-// materialize before HABS aggregation (the aggregated image is ~10-25x
-// smaller; Fig. 6). When the running total crosses the budget the
-// attempt aborts and restarts at the next coarser stride (8 -> 4 -> 2
-// -> 1): a deeper tree with geometrically smaller per-node arrays. At
-// stride 1 the build always completes, so a tiny budget degrades the
-// image instead of failing the build.
+// transient burst — the full 2^w pointer arrays every node carries
+// before HABS aggregation (the aggregated image is ~10-25x smaller;
+// Fig. 6). When the running total crosses the budget the attempt aborts
+// and restarts at the next coarser stride (8 -> 4 -> 2 -> 1): a deeper
+// tree with geometrically smaller per-node arrays. At stride 1 the build
+// always completes, so a tiny budget degrades the image instead of
+// failing the build.
 #pragma once
 
 #include <vector>
@@ -45,7 +45,7 @@ struct ParallelBuildStats {
   u32 degrade_steps = 0;    ///< Budget-forced stride reductions.
   u64 node_count = 0;       ///< After the cross-subtree dedup pass.
   u64 node_count_raw = 0;   ///< Before dedup (duplication the memos missed).
-  u32 tasks = 0;            ///< Frontier subtrees built in parallel.
+  u32 tasks = 0;            ///< Frontier subtrees (0 = root is a leaf).
   unsigned threads = 1;     ///< Workers the build ran on.
 };
 
@@ -55,15 +55,19 @@ struct BuiltTree {
   Ptr root = kEmptyLeaf;
   Config cfg;  ///< Input config with stride_w/habs_v possibly degraded.
   ParallelBuildStats stats;
+  std::size_t rule_count = 0;  ///< Rules the tree was built over.
 };
 
 /// Resolves Config::build_threads (0 = one worker per hardware thread).
 unsigned effective_build_threads(u32 build_threads);
 
-/// Builds the tree on `cfg.build_threads` workers, honouring
-/// `cfg.memory_budget_bytes` (see file comment). Deterministic: the
-/// result is identical for every thread count.
-BuiltTree build_tree_parallel(const RuleSet& rules, const Config& cfg);
+/// Builds the tree, honouring `cfg.memory_budget_bytes` (see file
+/// comment). Subtrees run on `pool` when given, else on a pool of
+/// `cfg.build_threads` workers created for this call (none for one
+/// worker). Deterministic: the result is identical for every thread
+/// count.
+BuiltTree build_tree_parallel(const RuleSet& rules, const Config& cfg,
+                              ThreadPool* pool = nullptr);
 
 }  // namespace expcuts
 }  // namespace pclass

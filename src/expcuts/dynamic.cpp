@@ -136,21 +136,28 @@ void DynamicExpCutsClassifier::erase(std::size_t pos) {
 
 RuleId DynamicExpCutsClassifier::classify(const PacketHeader& h) const {
   const ReaderLock lock(mu_);
-  return classify_impl(h, nullptr);
+  return apply_updates(h, tree_->classify(h), nullptr);
 }
 
 RuleId DynamicExpCutsClassifier::classify_traced(const PacketHeader& h,
                                                  LookupTrace& trace) const {
   const ReaderLock lock(mu_);
-  return classify_impl(h, &trace);
+  return apply_updates(h, tree_->classify_traced(h, trace), &trace);
 }
 
-RuleId DynamicExpCutsClassifier::classify_impl(const PacketHeader& h,
+void DynamicExpCutsClassifier::classify_batch(const PacketHeader* h,
+                                              RuleId* out, std::size_t n,
+                                              BatchLookupStats* stats) const {
+  const ReaderLock lock(mu_);
+  tree_->classify_batch(h, out, n, stats);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = apply_updates(h[i], out[i], nullptr);
+  }
+}
+
+RuleId DynamicExpCutsClassifier::apply_updates(const PacketHeader& h,
+                                               RuleId snap,
                                                LookupTrace* trace) const {
-  // Tree lookup over the snapshot.
-  RuleId snap = trace != nullptr
-                    ? tree_->classify_traced(h, *trace)
-                    : tree_->classify(h);
   RuleId best = kNoMatch;
   if (snap != kNoMatch) {
     if (snap_to_cur_[snap] != kNoMatch) {

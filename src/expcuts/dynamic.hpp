@@ -42,6 +42,10 @@ class DynamicExpCutsClassifier final : public Classifier {
   RuleId classify(const PacketHeader& h) const override;
   RuleId classify_traced(const PacketHeader& h,
                          LookupTrace& trace) const override;
+  /// One shared lock for the whole batch: the snapshot image's batch walk,
+  /// then the per-packet delta/tombstone fix-ups.
+  void classify_batch(const PacketHeader* h, RuleId* out, std::size_t n,
+                      BatchLookupStats* stats = nullptr) const override;
   MemoryFootprint footprint() const override;
 
   /// The live rule view; returned RuleIds index into it. The reference is
@@ -75,8 +79,11 @@ class DynamicExpCutsClassifier final : public Classifier {
   }
 
  private:
-  RuleId classify_impl(const PacketHeader& h, LookupTrace* trace) const
-      PCLASS_REQUIRES_SHARED(mu_);
+  /// Maps the snapshot image's answer `snap` for `h` to the live view:
+  /// renumbering, tombstone fallback scan, then the delta rules. Charges
+  /// the rule reads to `trace` when non-null.
+  RuleId apply_updates(const PacketHeader& h, RuleId snap,
+                       LookupTrace* trace) const PCLASS_REQUIRES_SHARED(mu_);
   void rebuild_locked() PCLASS_REQUIRES(mu_);
   void maybe_rebuild() PCLASS_REQUIRES(mu_);
 

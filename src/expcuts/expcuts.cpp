@@ -4,7 +4,6 @@
 
 #include "audit/image_audit.hpp"
 #include "common/error.hpp"
-#include "common/stats.hpp"
 #include "engine/thread_pool.hpp"
 #include "expcuts/build_parallel.hpp"
 #include "expcuts/flat.hpp"
@@ -12,302 +11,140 @@
 
 namespace pclass {
 namespace expcuts {
+namespace {
+
+std::unique_ptr<ThreadPool> make_pool(unsigned threads) {
+  return threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+}
+
+/// Structural stats of a built tree. Fixed 1024-node blocks accumulate
+/// locally and combine in block order, so the result is the same whether
+/// the blocks run on `pool` or inline, for any thread count.
+TreeStats tree_stats(const BuiltTree& t, u32 depth, ThreadPool* pool) {
+  struct Shard {
+    u64 leaf_ptrs = 0;
+    u64 cpa_words = 0;
+    u32 max_distinct = 0;
+    double distinct_sum = 0.0;
+    double habs_bits_sum = 0.0;
+  };
+  constexpr std::size_t kBlock = 1024;
+  const std::vector<Node>& nodes = t.nodes;
+  const std::size_t blocks = (nodes.size() + kBlock - 1) / kBlock;
+  std::vector<Shard> shards(blocks);
+  const auto run_block = [&](std::size_t b) {
+    Shard& sh = shards[b];
+    const std::size_t hi = std::min(nodes.size(), (b + 1) * kBlock);
+    for (std::size_t i = b * kBlock; i < hi; ++i) {
+      const Node& n = nodes[i];
+      // Distinct children of this node (paper: commonly < 10 at 256 cuts).
+      std::vector<Ptr> uniq(n.ptrs);
+      std::sort(uniq.begin(), uniq.end());
+      uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
+      sh.distinct_sum += static_cast<double>(uniq.size());
+      sh.max_distinct =
+          std::max<u32>(sh.max_distinct, static_cast<u32>(uniq.size()));
+      for (Ptr p : n.ptrs) {
+        if (ptr_is_leaf(p)) ++sh.leaf_ptrs;
+      }
+      const HabsEncoding enc =
+          habs_encode(n.ptrs, t.cfg.stride_w, t.cfg.habs_v);
+      sh.habs_bits_sum += static_cast<double>(enc.set_bits());
+      sh.cpa_words += enc.cpa_words();
+    }
+  };
+  if (pool != nullptr && blocks > 1) {
+    for (std::size_t b = 0; b < blocks; ++b) {
+      pool->submit([&run_block, b] { run_block(b); });
+    }
+    pool->wait_idle();
+  } else {
+    for (std::size_t b = 0; b < blocks; ++b) run_block(b);
+  }
+
+  TreeStats st;
+  st.node_count = nodes.size();
+  st.depth = depth;
+  st.build_degrade_steps = t.stats.degrade_steps;
+  st.build_tasks = t.stats.tasks;
+  st.build_threads = t.stats.threads;
+  double distinct_sum = 0.0;
+  double habs_bits_sum = 0.0;
+  for (const Shard& sh : shards) {
+    st.leaf_ptrs += sh.leaf_ptrs;
+    st.cpa_words += sh.cpa_words;
+    st.max_distinct_children =
+        std::max(st.max_distinct_children, sh.max_distinct);
+    distinct_sum += sh.distinct_sum;
+    habs_bits_sum += sh.habs_bits_sum;
+  }
+  if (!nodes.empty()) {
+    st.mean_distinct_children =
+        distinct_sum / static_cast<double>(nodes.size());
+    st.mean_habs_set_bits = habs_bits_sum / static_cast<double>(nodes.size());
+  }
+  // Aggregated image: one header long-word (HABS + cutting info, Fig. 4)
+  // plus the CPA words, per node; plus the root pointer word.
+  st.bytes_aggregated = (st.node_count + st.cpa_words) * 4 + 4;
+  // Unaggregated: the header word plus the full 2^w pointer array per node.
+  const u64 fanout = u64{1} << t.cfg.stride_w;
+  st.bytes_unaggregated = st.node_count * (1 + fanout) * 4 + 4;
+  return st;
+}
+
+}  // namespace
 
 ExpCutsClassifier::ExpCutsClassifier(const RuleSet& rules, const Config& cfg)
-    : rules_(rules), cfg_(cfg), sched_(Schedule::make(cfg.stride_w, cfg.order)) {
-  cfg_.habs_v = std::min({cfg_.habs_v, cfg_.stride_w, 4u});
+    : cfg_(cfg), sched_(Schedule::make(cfg.stride_w, cfg.order)) {
   // Covers cutting + stats; the HABS compression and word-image emission
-  // inside finalize_stats get their own child spans (FlatImage ctor).
-  PCLASS_TRACE_SPAN(kExpCutsBuild, rules_.size());
-  if (cfg_.build_threads != 1 || cfg_.memory_budget_bytes != 0) {
-    // Parallel / budgeted path: deterministic decomposition on the
-    // ThreadPool (build_parallel.hpp). The stride may come back coarser
-    // than requested when the budget forced degradation, so config and
-    // schedule are re-derived from the built tree.
-    BuiltTree t = build_tree_parallel(rules_, cfg_);
-    cfg_ = t.cfg;
-    sched_ = Schedule::make(cfg_.stride_w, cfg_.order);
-    nodes_ = std::move(t.nodes);
-    root_ = t.root;
-    stats_.build_degrade_steps = t.stats.degrade_steps;
-    stats_.build_tasks = t.stats.tasks;
-    stats_.build_threads = t.stats.threads;
-    if (stats_.build_threads > 1) {
-      ThreadPool pool(stats_.build_threads);
-      finalize_stats(&pool);
-    } else {
-      finalize_stats(nullptr);
-    }
-  } else {
-    std::vector<RuleId> all(rules_.size());
-    for (RuleId i = 0; i < rules_.size(); ++i) all[i] = i;
-    root_ = build(Box::full(), std::move(all), 0);
-    finalize_stats(nullptr);
-  }
+  // get their own child spans (FlatImage ctor).
+  PCLASS_TRACE_SPAN(kExpCutsBuild, rules.size());
+  const std::unique_ptr<ThreadPool> pool =
+      make_pool(effective_build_threads(cfg.build_threads));
+  // The tree is a temporary: it is freed as soon as the image exists.
+  emit(build_tree_parallel(rules, cfg, pool.get()), pool.get());
+}
+
+ExpCutsClassifier::ExpCutsClassifier(const BuiltTree& tree)
+    : cfg_(tree.cfg),
+      sched_(Schedule::make(tree.cfg.stride_w, tree.cfg.order)) {
+  const std::unique_ptr<ThreadPool> pool = make_pool(tree.stats.threads);
+  emit(tree, pool.get());
+}
+
+void ExpCutsClassifier::emit(const BuiltTree& tree, ThreadPool* pool) {
+  // The stride may come back coarser than requested when the budget
+  // forced degradation, so config and schedule follow the built tree.
+  cfg_ = tree.cfg;
+  sched_ = Schedule::make(cfg_.stride_w, cfg_.order);
+  rule_count_ = tree.rule_count;
+  stats_ = tree_stats(tree, sched_.depth(), pool);
+  flat_ = std::make_unique<FlatImage>(tree.nodes, tree.root, cfg_, true, pool);
 #if !defined(NDEBUG) || defined(PCLASS_AUDIT_BUILDS)
   // Debug builds prove every freshly built image well-formed (HABS
   // coherence, depth bound, leaf finality, coverage) before it is used;
   // release builds rely on tests + tools/pclass_audit instead.
-  {
-    audit::AuditOptions aopts;
-    aopts.rule_count = static_cast<u32>(rules_.size());
-    const audit::AuditReport report =
-        audit::audit_flat_image(*flat_, sched_.depth(), aopts);
-    check(report.ok(), "ExpCuts build produced a malformed image");
-  }
+  audit::AuditOptions aopts;
+  aopts.rule_count = static_cast<u32>(rule_count_);
+  const audit::AuditReport report =
+      audit::audit_flat_image(*flat_, sched_.depth(), aopts);
+  check(report.ok(), "ExpCuts build produced a malformed image");
 #endif
 }
 
-std::size_t ExpCutsClassifier::MemoKeyHash::operator()(
-    const MemoKey& k) const {
-  u64 h = 0x9e3779b97f4a7c15ULL ^ k.level;
-  auto mix = [&h](u64 v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
-  for (RuleId id : k.ids) mix(id);
-  for (const auto& [lo, hi] : k.extents) {
-    mix(lo);
-    mix(hi);
-  }
-  return static_cast<std::size_t>(h);
-}
-
-ExpCutsClassifier::MemoKey ExpCutsClassifier::make_key(
-    const Box& box, const std::vector<RuleId>& ids, u32 level) const {
-  MemoKey key;
-  key.level = level;
-  key.ids = ids;
-  for (std::size_t d = 0; d < kNumDims; ++d) {
-    const Interval& extent = box.dims[d];
-    bool saturated = true;
-    for (RuleId id : ids) {
-      if (!rules_[id].box.dims[d].contains(extent)) {
-        saturated = false;
-        break;
-      }
-    }
-    // A saturated dimension cannot influence the subtree: all its further
-    // cuts are uniform pass-throughs and all cover tests along it succeed
-    // for every rule in `ids`, so sub-problems differing only there are
-    // equivalent.
-    key.extents[d] =
-        saturated ? std::pair<u64, u64>{1, 0} : std::pair{extent.lo, extent.hi};
-  }
-  return key;
-}
-
-Ptr ExpCutsClassifier::intern_node(Node&& n) {
-  const u32 idx = static_cast<u32>(nodes_.size());
-  check((idx & kLeafBit) == 0, "ExpCuts: node index overflow");
-  nodes_.push_back(std::move(n));
-  return idx;
-}
-
-Ptr ExpCutsClassifier::build(const Box& box, std::vector<RuleId> ids,
-                             u32 level) {
-  // Priority pruning: rules after the first one that fully covers the box
-  // can never win inside it.
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (rules_[ids[i]].covers(box)) {
-      ids.resize(i + 1);
-      break;
-    }
-  }
-  if (ids.empty()) return kEmptyLeaf;
-  // Decided: the highest-priority intersecting rule covers the whole box,
-  // so it is the final match for every packet in it (binth = 1 semantics).
-  if (rules_[ids[0]].covers(box)) return make_leaf(ids[0]);
-  check(level < sched_.depth(), "ExpCuts: undecided sub-space at full depth");
-
-  // Sub-tree sharing: sub-problems with the same pruned rule list, level
-  // and canonical geometry build identical subtrees exactly once.
-  MemoKey key;
-  if (cfg_.share_subtrees) {
-    key = make_key(box, ids, level);
-    const auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-  }
-
-  const Chunk& ch = sched_.level(level);
-  const Dim d = ch.dim;
-  const Interval extent = box[d];
-  const u32 fanout = 1u << cfg_.stride_w;
-  const u64 slot_width = u64{1} << ch.shift;
-  const u64 chunk_block = slot_width << cfg_.stride_w;
-
-  Node node;
-  node.level = static_cast<u16>(level);
-
-  const bool aligned =
-      extent.width() == chunk_block && (extent.lo % chunk_block) == 0;
-  if (!aligned) {
-    // This dimension was saturated by an earlier safe merge: the invariant
-    // guarantees every rule covers the whole extent, so all 2^w sub-spaces
-    // behave identically and share one child.
-    for (RuleId id : ids) {
-      check(rules_[id].field(d).contains(extent),
-            "ExpCuts: merge invariant violated (unsaturated extent)");
-    }
-    const Ptr child = build(box, std::move(ids), level + 1);
-    node.ptrs.assign(fanout, child);
-    const Ptr result = intern_node(std::move(node));
-    if (cfg_.share_subtrees) memo_.emplace(std::move(key), result);
-    return result;
-  }
-
-  // Partition rules into the 2^w sub-spaces of this chunk.
-  std::vector<std::vector<RuleId>> slot_ids(fanout);
-  for (RuleId id : ids) {
-    const Interval clipped = rules_[id].field(d).intersect(extent);
-    const u32 c_lo = static_cast<u32>((clipped.lo - extent.lo) >> ch.shift);
-    const u32 c_hi = static_cast<u32>((clipped.hi - extent.lo) >> ch.shift);
-    for (u32 c = c_lo; c <= c_hi; ++c) slot_ids[c].push_back(id);
-  }
-
-  node.ptrs.assign(fanout, kEmptyLeaf);
-  u32 a = 0;
-  while (a < fanout) {
-    // Maximal safe run [a, b]: identical rule lists whose every rule covers
-    // the full run span (all lower-order bits included), so absolute
-    // bit-chunk indexing below the shared child stays exact.
-    u32 b = a;
-    auto run_safe = [&](u32 hi_slot) {
-      const Interval span{extent.lo + u64{a} * slot_width,
-                          extent.lo + u64{hi_slot} * slot_width + slot_width - 1};
-      for (RuleId id : slot_ids[a]) {
-        if (!rules_[id].field(d).contains(span)) return false;
-      }
-      return true;
-    };
-    while (b + 1 < fanout && slot_ids[b + 1] == slot_ids[a] && run_safe(b + 1)) {
-      ++b;
-    }
-    Box child_box = box;
-    child_box[d] = Interval{extent.lo + u64{a} * slot_width,
-                            extent.lo + u64{b} * slot_width + slot_width - 1};
-    const Ptr child = build(child_box, std::move(slot_ids[a]), level + 1);
-    for (u32 c = a; c <= b; ++c) node.ptrs[c] = child;
-    a = b + 1;
-  }
-  const Ptr result = intern_node(std::move(node));
-  if (cfg_.share_subtrees) memo_.emplace(std::move(key), result);
-  return result;
-}
-
 RuleId ExpCutsClassifier::classify(const PacketHeader& h) const {
-  Ptr p = root_;
-  while (!ptr_is_leaf(p)) {
-    const Node& n = nodes_[p];
-    p = n.ptrs[sched_.chunk_value(h, n.level)];
-  }
-  return leaf_rule(p);
+  return flat_->lookup(h, sched_, nullptr);
 }
 
 RuleId ExpCutsClassifier::classify_traced(const PacketHeader& h,
                                           LookupTrace& trace) const {
-  check(flat_ != nullptr, "ExpCuts: flat image missing");
   return flat_->lookup(h, sched_, &trace);
 }
 
 void ExpCutsClassifier::classify_batch(const PacketHeader* h, RuleId* out,
                                        std::size_t n,
                                        BatchLookupStats* stats) const {
-  check(flat_ != nullptr, "ExpCuts: flat image missing");
   flat_->lookup_batch(h, out, n, sched_, stats);
-}
-
-void ExpCutsClassifier::finalize_stats(ThreadPool* pool) {
-  TreeStats fresh;
-  fresh.build_degrade_steps = stats_.build_degrade_steps;
-  fresh.build_tasks = stats_.build_tasks;
-  fresh.build_threads = stats_.build_threads;
-  stats_ = fresh;
-  stats_.node_count = nodes_.size();
-  stats_.depth = sched_.depth();
-  const u32 fanout = 1u << cfg_.stride_w;
-  if (pool != nullptr && nodes_.size() >= 4096) {
-    // Sharded stats pass: fixed 1024-node blocks accumulate locally and
-    // combine in block order, so the result does not depend on the thread
-    // count (only last-bit FP rounding can differ from the serial path's
-    // streaming mean below).
-    struct Shard {
-      u64 leaf_ptrs = 0;
-      u64 cpa_words = 0;
-      u32 max_distinct = 0;
-      double distinct_sum = 0.0;
-      double habs_bits_sum = 0.0;
-    };
-    constexpr std::size_t kBlock = 1024;
-    const std::size_t blocks = (nodes_.size() + kBlock - 1) / kBlock;
-    std::vector<Shard> shards(blocks);
-    for (std::size_t b = 0; b < blocks; ++b) {
-      pool->submit([this, b, &shards] {
-        Shard& sh = shards[b];
-        const std::size_t lo = b * kBlock;
-        const std::size_t hi = std::min(nodes_.size(), lo + kBlock);
-        for (std::size_t i = lo; i < hi; ++i) {
-          const Node& n = nodes_[i];
-          std::vector<Ptr> uniq(n.ptrs);
-          std::sort(uniq.begin(), uniq.end());
-          uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-          sh.distinct_sum += static_cast<double>(uniq.size());
-          sh.max_distinct =
-              std::max<u32>(sh.max_distinct, static_cast<u32>(uniq.size()));
-          for (Ptr p : n.ptrs) {
-            if (ptr_is_leaf(p)) ++sh.leaf_ptrs;
-          }
-          const HabsEncoding enc =
-              habs_encode(n.ptrs, cfg_.stride_w, cfg_.habs_v);
-          sh.habs_bits_sum += static_cast<double>(enc.set_bits());
-          sh.cpa_words += enc.cpa_words();
-        }
-      });
-    }
-    pool->wait_idle();
-    double distinct_sum = 0.0;
-    double habs_bits_sum = 0.0;
-    for (const Shard& sh : shards) {
-      stats_.leaf_ptrs += sh.leaf_ptrs;
-      stats_.cpa_words += sh.cpa_words;
-      stats_.max_distinct_children =
-          std::max(stats_.max_distinct_children, sh.max_distinct);
-      distinct_sum += sh.distinct_sum;
-      habs_bits_sum += sh.habs_bits_sum;
-    }
-    if (!nodes_.empty()) {
-      stats_.mean_distinct_children =
-          distinct_sum / static_cast<double>(nodes_.size());
-      stats_.mean_habs_set_bits =
-          habs_bits_sum / static_cast<double>(nodes_.size());
-    }
-  } else {
-    RunningStats distinct_stats;
-    RunningStats habs_stats;
-    for (const Node& n : nodes_) {
-      // Distinct children of this node (paper: commonly < 10 at 256 cuts).
-      std::vector<Ptr> uniq(n.ptrs);
-      std::sort(uniq.begin(), uniq.end());
-      uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-      distinct_stats.add(static_cast<double>(uniq.size()));
-      stats_.max_distinct_children = std::max<u32>(
-          stats_.max_distinct_children, static_cast<u32>(uniq.size()));
-      for (Ptr p : n.ptrs) {
-        if (ptr_is_leaf(p)) ++stats_.leaf_ptrs;
-      }
-      const HabsEncoding enc = habs_encode(n.ptrs, cfg_.stride_w, cfg_.habs_v);
-      habs_stats.add(static_cast<double>(enc.set_bits()));
-      stats_.cpa_words += enc.cpa_words();
-    }
-    stats_.mean_distinct_children = distinct_stats.mean();
-    stats_.mean_habs_set_bits = habs_stats.mean();
-  }
-  // Aggregated image: one header long-word (HABS + cutting info, Fig. 4)
-  // plus the CPA words, per node; plus the root pointer word.
-  stats_.bytes_aggregated = (stats_.node_count + stats_.cpa_words) * 4 + 4;
-  // Unaggregated: the header word plus the full 2^w pointer array per node.
-  stats_.bytes_unaggregated = stats_.node_count * (1 + fanout) * 4 + 4;
-
-  flat_ = std::make_unique<FlatImage>(nodes_, root_, cfg_, true, pool);
 }
 
 MemoryFootprint ExpCutsClassifier::footprint() const {

@@ -23,13 +23,11 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "classify/classifier.hpp"
 #include "expcuts/habs.hpp"
 #include "expcuts/schedule.hpp"
-#include "geom/box.hpp"
 
 namespace pclass {
 
@@ -45,26 +43,27 @@ struct Config {
   /// Clamped to stride_w.
   u32 habs_v = 4;
   ChunkOrder order = ChunkOrder::kInterleaved;
-  /// Share sub-trees across equivalent sub-problems (same rule list, same
-  /// level, same geometry up to saturated dimensions — an exact
-  /// equivalence, see build()). This is what makes "multiple pointers ...
+  /// Share sub-trees across equivalent sub-problems: a per-subtree memo
+  /// over (pruned rule list, level, geometry up to saturated dimensions —
+  /// an exact equivalence) plus a structural dedup of the finished node
+  /// array (build_parallel.hpp). This is what makes "multiple pointers ...
   /// point to a single child node" (Sec. 4.1) effective across the whole
   /// structure; without it the fixed stride duplicates identical subtrees
-  /// and the memory burst returns. The layout ablation measures it off.
+  /// and the memory burst returns. Off turns both off; the layout
+  /// ablation measures that unshared tree.
   bool share_subtrees = true;
   /// Flat-image packing (flat.hpp): 2 = kLayoutAligned (64-byte-aligned
   /// nodes, level clustering — the default), 1 = kLayoutLinear (the
   /// historical back-to-back packing; the layout ablation measures it).
   u32 layout = 2;
-  /// Build workers. 1 = the classic serial recursion; 0 = one worker per
-  /// hardware thread; otherwise the exact count. Any value other than 1
-  /// selects the deterministic parallel builder (build_parallel.hpp),
-  /// whose output is identical for every thread count.
+  /// Build workers: 0 = one per hardware thread, otherwise the exact
+  /// count (1 = serial). The tree, and so the image, is the same for
+  /// every value; only build time changes.
   u32 build_threads = 1;
   /// Upper bound on the build's transient pointer-array burst, in bytes
   /// (0 = unlimited). When exceeded, the build restarts at the next
   /// coarser stride (8 -> 4 -> 2 -> 1) instead of OOMing; the image
-  /// degrades, the build never fails. Implies the parallel builder.
+  /// degrades, the build never fails.
   u64 memory_budget_bytes = 0;
   /// Run the symbolic semantic verifier (analysis/verify_image.hpp) over
   /// every image the DynamicExpCutsClassifier rebuild path produces,
@@ -96,7 +95,7 @@ struct TreeStats {
   u64 node_count = 0;
   u32 depth = 0;                 ///< Exactly 104/w (explicit bound).
   u32 build_degrade_steps = 0;   ///< Budget-forced stride reductions.
-  u32 build_tasks = 0;           ///< Parallel frontier subtrees (0 = serial).
+  u32 build_tasks = 0;           ///< Frontier subtrees (0 = root is a leaf).
   unsigned build_threads = 1;    ///< Workers the build actually used.
   double mean_distinct_children = 0.0;  ///< Paper: "less than 10" at w=8.
   u32 max_distinct_children = 0;
@@ -107,14 +106,25 @@ struct TreeStats {
   u64 leaf_ptrs = 0;
 };
 
-class FlatImage;  // flat.hpp — the serialized SRAM image.
+class FlatImage;       // flat.hpp — the serialized SRAM image.
+struct BuiltTree;      // build_parallel.hpp — the tree before emission.
 
+/// The runtime classifier: the emitted HABS/CPA image plus what a lookup
+/// needs to walk it. The tree it was built from is dropped after
+/// emission; callers that need the nodes themselves (ablations, relayout)
+/// call build_tree_parallel and construct from the BuiltTree.
 class ExpCutsClassifier final : public Classifier {
  public:
+  /// Builds the tree (build_tree_parallel), computes its stats, emits the
+  /// image and frees the tree. One thread pool serves all three passes
+  /// when `cfg.build_threads` asks for more than one worker.
   ExpCutsClassifier(const RuleSet& rules, const Config& cfg = {});
+  /// Emits the image of an already built tree (which stays the caller's).
+  explicit ExpCutsClassifier(const BuiltTree& tree);
   ~ExpCutsClassifier() override;
 
   std::string name() const override { return "ExpCuts"; }
+  /// Walks the flat image, the same structure every other path reads.
   RuleId classify(const PacketHeader& h) const override;
   RuleId classify_traced(const PacketHeader& h,
                          LookupTrace& trace) const override;
@@ -127,41 +137,19 @@ class ExpCutsClassifier final : public Classifier {
   const Config& config() const { return cfg_; }
   const Schedule& schedule() const { return sched_; }
   const TreeStats& stats() const { return stats_; }
-  Ptr root() const { return root_; }
-  const std::vector<Node>& nodes() const { return nodes_; }
-  const RuleSet& rules() const { return rules_; }
-  /// The serialized word image traced lookups execute against.
+  /// Size of the rule list the image was built over (leaf ids index it).
+  std::size_t rule_count() const { return rule_count_; }
+  /// The serialized word image every lookup executes against.
   const FlatImage& flat() const { return *flat_; }
 
  private:
-  struct MemoKey {
-    u32 level;
-    std::vector<RuleId> ids;
-    /// Per-dim canonical extent: the actual (lo, hi) for discriminating
-    /// dimensions, or the (1, 0) sentinel when every rule in `ids` covers
-    /// the extent (then the extent provably cannot influence the subtree).
-    std::array<std::pair<u64, u64>, kNumDims> extents;
+  void emit(const BuiltTree& tree, ThreadPool* pool);
 
-    bool operator==(const MemoKey& o) const = default;
-  };
-  struct MemoKeyHash {
-    std::size_t operator()(const MemoKey& k) const;
-  };
-
-  Ptr build(const Box& box, std::vector<RuleId> ids, u32 level);
-  MemoKey make_key(const Box& box, const std::vector<RuleId>& ids,
-                   u32 level) const;
-  Ptr intern_node(Node&& n);
-  void finalize_stats(ThreadPool* pool);
-
-  const RuleSet& rules_;
   Config cfg_;
   Schedule sched_;
-  std::vector<Node> nodes_;
-  Ptr root_ = kEmptyLeaf;
   TreeStats stats_;
   std::unique_ptr<FlatImage> flat_;
-  std::unordered_map<MemoKey, Ptr, MemoKeyHash> memo_;
+  std::size_t rule_count_ = 0;
 };
 
 }  // namespace expcuts

@@ -8,7 +8,7 @@
 namespace pclass {
 namespace expcuts {
 
-std::vector<LevelProfile> level_profiles(const ExpCutsClassifier& cls) {
+std::vector<LevelProfile> level_profiles(const BuiltTree& tree) {
   struct Acc {
     u64 nodes = 0;
     u64 distinct = 0;
@@ -16,8 +16,8 @@ std::vector<LevelProfile> level_profiles(const ExpCutsClassifier& cls) {
     u64 cpa_words = 0;
   };
   std::map<u32, Acc> acc;
-  const Config& cfg = cls.config();
-  for (const Node& n : cls.nodes()) {
+  const Config& cfg = tree.cfg;
+  for (const Node& n : tree.nodes) {
     Acc& a = acc[n.level];
     ++a.nodes;
     std::vector<Ptr> uniq(n.ptrs);
@@ -45,11 +45,11 @@ std::vector<LevelProfile> level_profiles(const ExpCutsClassifier& cls) {
   return out;
 }
 
-std::string level_report(const ExpCutsClassifier& cls) {
+std::string level_report(const BuiltTree& tree) {
   TextTable t({"level", "chunk", "nodes", "distinct_children", "habs_bits",
                "cpa_words", "bytes"});
-  const Schedule& sched = cls.schedule();
-  for (const LevelProfile& p : level_profiles(cls)) {
+  const Schedule sched = Schedule::make(tree.cfg.stride_w, tree.cfg.order);
+  for (const LevelProfile& p : level_profiles(tree)) {
     const Chunk& c = sched.level(p.level);
     t.add(p.level,
           std::string(dim_name(c.dim)) + "[" +

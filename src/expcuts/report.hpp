@@ -2,13 +2,15 @@
 //
 // The level profile drives the paper's memory-allocation decision
 // (Table 4 places level ranges on SRAM channels) and explains where the
-// HABS earns its compression, so the tooling exposes it directly.
+// HABS earns its compression, so the tooling exposes it directly. It
+// reads the BuiltTree (build_tree_parallel): a classifier keeps only its
+// image.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "expcuts/expcuts.hpp"
+#include "expcuts/build_parallel.hpp"
 
 namespace pclass {
 namespace expcuts {
@@ -24,10 +26,10 @@ struct LevelProfile {
 
 /// One entry per level that has nodes (levels skipped by early leaves are
 /// omitted).
-std::vector<LevelProfile> level_profiles(const ExpCutsClassifier& cls);
+std::vector<LevelProfile> level_profiles(const BuiltTree& tree);
 
 /// Aligned-table rendering of the profile.
-std::string level_report(const ExpCutsClassifier& cls);
+std::string level_report(const BuiltTree& tree);
 
 }  // namespace expcuts
 }  // namespace pclass

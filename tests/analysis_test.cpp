@@ -25,8 +25,8 @@
 #include "analysis/verify_image.hpp"
 #include "audit/image_audit.hpp"
 #include "common/error.hpp"
+#include "expcuts/build_parallel.hpp"
 #include "expcuts/dynamic.hpp"
-#include "expcuts/expcuts.hpp"
 #include "expcuts/flat.hpp"
 #include "expcuts/image_io.hpp"
 #include "hicuts/hicuts.hpp"
@@ -168,13 +168,15 @@ TEST(VerifyImage, SeedSetsCleanAggregatedAndNot) {
   // sets (aggregated) on every ctest run.
   for (const std::string name : {"FW01", "CR02"}) {
     const RuleSet rules = generate_paper_ruleset(name);
-    const ExpCutsClassifier cls(rules);
+    const expcuts::BuiltTree tree =
+        expcuts::build_tree_parallel(rules, expcuts::Config{});
+    const ExpCutsClassifier cls(tree);
     const SemanticReport agg =
         verify_flat_image(cls.flat(), cls.schedule(), rules);
     EXPECT_TRUE(agg.ok()) << name << ": " << agg.report.summary();
     EXPECT_GT(agg.regions, 0u) << name;
 
-    const FlatImage direct(cls.nodes(), cls.root(), cls.config(),
+    const FlatImage direct(tree.nodes, tree.root, cls.config(),
                            /*aggregated=*/false);
     const SemanticReport plain =
         verify_flat_image(direct, cls.schedule(), rules);

@@ -19,12 +19,14 @@
 #include "common/bitops.hpp"
 
 #include "audit/audit.hpp"
+#include "classify/verify.hpp"
 #include "common/error.hpp"
-#include "expcuts/expcuts.hpp"
+#include "expcuts/build_parallel.hpp"
 #include "expcuts/flat.hpp"
 #include "expcuts/image_io.hpp"
 #include "hicuts/hicuts.hpp"
 #include "hsm/hsm.hpp"
+#include "packet/tracegen.hpp"
 #include "rules/generator.hpp"
 
 namespace pclass {
@@ -116,11 +118,30 @@ TEST_F(ImageAuditTest, CleanImageCertifiedOk) {
 }
 
 TEST_F(ImageAuditTest, CleanUnaggregatedImageCertifiedOk) {
-  const FlatImage direct(cls_.nodes(), cls_.root(), cls_.config(),
+  const expcuts::BuiltTree tree =
+      expcuts::build_tree_parallel(rules_, cls_.config());
+  const FlatImage direct(tree.nodes, tree.root, cls_.config(),
                          /*aggregated=*/false);
   const AuditReport r = audit(direct);
   EXPECT_TRUE(r.ok()) << r.summary();
   EXPECT_EQ(r.stats.words_reachable, direct.words().size());
+}
+
+// The classifier owns everything it reads: built from a temporary rule
+// set, it must still audit (rule-id range check included) and classify
+// exactly once the temporary is gone.
+TEST(ImageAudit, ClassifierOutlivesTemporaryRuleSet) {
+  const ExpCutsClassifier cls(generate_paper_ruleset("FW01"));
+  const RuleSet rules = generate_paper_ruleset("FW01");
+  EXPECT_EQ(cls.rule_count(), rules.size());
+  const AuditReport r = audit_classifier(cls);
+  EXPECT_TRUE(r.ok()) << r.summary();
+
+  TraceGenConfig tc;
+  tc.count = 2000;
+  const Trace trace = generate_trace(rules, tc);
+  const VerifyResult res = verify_against_linear(cls, rules, trace);
+  EXPECT_TRUE(res.ok()) << res.str();
 }
 
 TEST_F(ImageAuditTest, DetectsHabsBit0Flip) {

@@ -1,5 +1,5 @@
-// Parallel ExpCuts build: thread-count determinism, budget degradation,
-// and semantic agreement with the classic builder and linear search.
+// ExpCuts build: thread-count determinism, budget degradation, and
+// semantic agreement with linear search.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -8,6 +8,7 @@
 #include "expcuts/build_parallel.hpp"
 #include "expcuts/image_io.hpp"
 #include "packet/tracegen.hpp"
+#include "rules/generator.hpp"
 #include "workload/scalegen.hpp"
 
 namespace pclass {
@@ -43,58 +44,48 @@ TEST(BuildParallel, EffectiveThreadsResolvesZeroToHardware) {
 
 // The central property: the emitted tree is a function of (rules, config)
 // only. With the builder deterministic, the serialized image — checksum
-// included — must be byte-identical for every thread count, which is what
-// makes parallel builds trustworthy drop-ins for serial ones. (Running
-// more workers than cores exercises real interleaving even on small CI
-// machines.)
+// included — must be byte-identical for every thread count, the default
+// (one worker) included. (Running more workers than cores exercises real
+// interleaving even on small CI machines.)
 TEST(BuildParallel, ImageIsByteIdenticalAcrossThreadCounts) {
-  const RuleSet rs = scale_set(workload::ScaleProfile::kCoreRouter, 20000);
-  Config cfg;
-  cfg.build_threads = 2;
-  const ExpCutsClassifier two(rs, cfg);
-  cfg.build_threads = 8;
-  const ExpCutsClassifier eight(rs, cfg);
-  EXPECT_EQ(serialized(two), serialized(eight));
-
-  // And against the one-worker run of the same decomposition.
-  const BuiltTree direct = [&] {
-    Config c;
-    c.build_threads = 1;
-    return build_tree_parallel(rs, c);
-  }();
-  EXPECT_EQ(direct.root, two.root());
-  ASSERT_EQ(direct.nodes.size(), two.nodes().size());
-  for (std::size_t i = 0; i < direct.nodes.size(); ++i) {
-    ASSERT_EQ(direct.nodes[i].level, two.nodes()[i].level);
-    ASSERT_EQ(direct.nodes[i].ptrs, two.nodes()[i].ptrs);
+  for (const RuleSet& rs :
+       {scale_set(workload::ScaleProfile::kCoreRouter, 20000),
+        generate_paper_ruleset("CR04")}) {
+    const std::string serial = serialized(ExpCutsClassifier(rs));
+    for (const u32 threads : {2u, 8u}) {
+      Config cfg;
+      cfg.build_threads = threads;
+      EXPECT_TRUE(serial == serialized(ExpCutsClassifier(rs, cfg)))
+          << rs.size() << " rules, " << threads << " threads";
+    }
   }
+
 }
 
-// The parallel tree may *share* differently than the classic recursion
-// (per-task memo tables + a global structural dedup vs one global memo),
-// so the differential against the classic builder is semantic, packet by
-// packet, with linear search as the independent referee.
-TEST(BuildParallel, AgreesWithClassicBuilderAndLinearSearch) {
+// Semantic differential with linear search as the referee, packet by
+// packet, for the serial and a parallel build, through both the scalar
+// and the batch walker.
+TEST(BuildParallel, AgreesWithLinearSearch) {
   for (const auto profile : {workload::ScaleProfile::kFirewall,
                              workload::ScaleProfile::kCoreRouter,
                              workload::ScaleProfile::kAcl}) {
     const RuleSet rs = scale_set(profile, 5000);
-    const ExpCutsClassifier classic(rs);
-    Config cfg;
-    cfg.build_threads = 4;
-    const ExpCutsClassifier parallel(rs, cfg);
     const LinearSearchClassifier linear(rs);
     const Trace trace = make_trace(rs, 4000);
+    std::vector<RuleId> want(trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i) {
-      const RuleId want = linear.classify(trace[i]);
-      ASSERT_EQ(parallel.classify(trace[i]), want) << trace[i].str();
-      ASSERT_EQ(classic.classify(trace[i]), want) << trace[i].str();
+      want[i] = linear.classify(trace[i]);
     }
-    // The batch walker runs the serialized image; cover it too.
-    std::vector<RuleId> out(trace.size());
-    parallel.classify_batch(trace.packets().data(), out.data(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      ASSERT_EQ(out[i], linear.classify(trace[i]));
+    for (const u32 threads : {1u, 4u}) {
+      Config cfg;
+      cfg.build_threads = threads;
+      const ExpCutsClassifier cls(rs, cfg);
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        ASSERT_EQ(cls.classify(trace[i]), want[i]) << trace[i].str();
+      }
+      std::vector<RuleId> out(trace.size());
+      cls.classify_batch(trace.packets().data(), out.data(), trace.size());
+      EXPECT_EQ(out, want) << threads << " threads";
     }
   }
 }

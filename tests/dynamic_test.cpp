@@ -135,6 +135,23 @@ TEST(Dynamic, TracedChargesDeltaAndFallback) {
   EXPECT_GT(after.total_words(), before.total_words());
 }
 
+/// Asserts the batch path (one lock, image batch walk, per-packet
+/// fix-ups) agrees with linear search over the current rule view.
+void expect_batch_exact(const DynamicExpCutsClassifier& dyn, u64 seed,
+                        std::size_t packets) {
+  const RuleSet& view = dyn.rules();
+  TraceGenConfig cfg;
+  cfg.count = packets;
+  cfg.seed = seed;
+  const Trace trace = generate_trace(view, cfg);
+  std::vector<RuleId> got(trace.size());
+  dyn.classify_batch(trace.packets().data(), got.data(), trace.size());
+  const LinearSearchClassifier linear(view);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    ASSERT_EQ(got[i], linear.classify(trace[i])) << trace[i].str();
+  }
+}
+
 TEST(Dynamic, RandomizedChurnStaysExact) {
   RuleSet rs = generate_paper_ruleset("FW02");
   DynamicExpCutsClassifier dyn(std::move(rs), Config{}, 48);
@@ -152,9 +169,18 @@ TEST(Dynamic, RandomizedChurnStaysExact) {
     } else {
       dyn.erase(rng.next_below(dyn.rules().size()));
     }
-    if (step % 10 == 9) expect_exact(dyn, 1000 + step, 400);
+    if (step % 10 == 9) {
+      expect_exact(dyn, 1000 + step, 400);
+      expect_batch_exact(dyn, 2000 + step, 400);
+    }
+    // Mid-churn (pending deltas and tombstones, not yet rebuilt).
+    if (step % 10 == 4) {
+      EXPECT_GT(dyn.pending_updates(), 0u);
+      expect_batch_exact(dyn, 3000 + step, 400);
+    }
   }
   expect_exact(dyn, 9999, 1500);
+  expect_batch_exact(dyn, 8888, 1500);
 }
 
 }  // namespace

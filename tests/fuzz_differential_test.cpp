@@ -5,6 +5,8 @@
 // This is the broad-sweep safety net behind the per-algorithm suites.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "classify/verify.hpp"
 #include "common/simd.hpp"
 #include "packet/tracegen.hpp"
@@ -12,6 +14,14 @@
 #include "workload/workload.hpp"
 
 namespace pclass {
+
+// Prints a paper rule set parameter by name. Without it gtest dumps the raw
+// struct bytes, which hold the name pointer and padding, so the printed test
+// list (and every test name derived from it) changes from build to build.
+void PrintTo(const PaperRuleSetSpec& spec, std::ostream* os) {
+  *os << spec.name;
+}
+
 namespace {
 
 struct FuzzCase {

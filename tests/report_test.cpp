@@ -10,8 +10,9 @@ namespace {
 
 TEST(Report, ProfilesSumToTreeStats) {
   const RuleSet rs = generate_paper_ruleset("FW02");
-  const ExpCutsClassifier cls(rs);
-  const auto profiles = level_profiles(cls);
+  const BuiltTree tree = build_tree_parallel(rs, Config{});
+  const ExpCutsClassifier cls(tree);
+  const auto profiles = level_profiles(tree);
   ASSERT_FALSE(profiles.empty());
   u64 nodes = 0, cpa_words = 0;
   for (const LevelProfile& p : profiles) {
@@ -28,8 +29,7 @@ TEST(Report, ProfilesSumToTreeStats) {
 
 TEST(Report, RootIsSingleNodeAtLevelZero) {
   const RuleSet rs = generate_paper_ruleset("FW01");
-  const ExpCutsClassifier cls(rs);
-  const auto profiles = level_profiles(cls);
+  const auto profiles = level_profiles(build_tree_parallel(rs, Config{}));
   ASSERT_FALSE(profiles.empty());
   EXPECT_EQ(profiles.front().level, 0u);
   EXPECT_EQ(profiles.front().nodes, 1u);
@@ -37,8 +37,7 @@ TEST(Report, RootIsSingleNodeAtLevelZero) {
 
 TEST(Report, RenderedTableMentionsChunks) {
   const RuleSet rs = generate_paper_ruleset("FW01");
-  const ExpCutsClassifier cls(rs);
-  const std::string report = level_report(cls);
+  const std::string report = level_report(build_tree_parallel(rs, Config{}));
   EXPECT_NE(report.find("sip[31:24]"), std::string::npos);
   EXPECT_NE(report.find("cpa_words"), std::string::npos);
 }

@@ -17,7 +17,7 @@
 #include "audit/image_audit.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "expcuts/expcuts.hpp"
+#include "expcuts/build_parallel.hpp"
 #include "expcuts/flat.hpp"
 #include "expcuts/image_io.hpp"
 #include "packet/tracegen.hpp"
@@ -194,24 +194,26 @@ TEST(Profiler, SampledWalkHooksRecordRealLookups) {
 TEST(HeatRelayout, PreservesAuditAndClassifications) {
   ProfilerGuard guard;
   const RuleSet rules = generate_paper_ruleset("CR01");
-  const expcuts::ExpCutsClassifier cls(rules);
+  const expcuts::BuiltTree tree =
+      expcuts::build_tree_parallel(rules, expcuts::Config{});
+  const expcuts::ExpCutsClassifier cls(tree);
   ASSERT_EQ(cls.config().layout, expcuts::kLayoutAligned);
 
   // Offset map from a deterministic rebuild; synthetic skewed heat.
   std::vector<u32> offsets;
   expcuts::FlatLayoutHints probe;
   probe.node_offsets_out = &offsets;
-  const expcuts::FlatImage plain(cls.nodes(), cls.root(), cls.config(), true,
+  const expcuts::FlatImage plain(tree.nodes, tree.root, cls.config(), true,
                                  nullptr, &probe);
   ASSERT_EQ(plain.word_count(), cls.flat().word_count());
-  ASSERT_EQ(offsets.size(), cls.nodes().size());
+  ASSERT_EQ(offsets.size(), tree.nodes.size());
 
   expcuts::FlatLayoutHints hints;
-  hints.node_heat.resize(cls.nodes().size());
+  hints.node_heat.resize(tree.nodes.size());
   for (std::size_t i = 0; i < hints.node_heat.size(); ++i) {
     hints.node_heat[i] = (i * 2654435761u) % 1000;  // deterministic pseudo-heat
   }
-  const expcuts::FlatImage hot(cls.nodes(), cls.root(), cls.config(), true,
+  const expcuts::FlatImage hot(tree.nodes, tree.root, cls.config(), true,
                                nullptr, &hints);
   EXPECT_EQ(hot.word_count(), plain.word_count());
 
@@ -239,26 +241,27 @@ TEST(HeatRelayout, PreservesAuditAndClassifications) {
 TEST(HeatRelayout, HotNodesPackFirstWithinEachLevel) {
   ProfilerGuard guard;
   const RuleSet rules = generate_paper_ruleset("FW01");
-  const expcuts::ExpCutsClassifier cls(rules);
+  const expcuts::BuiltTree tree =
+      expcuts::build_tree_parallel(rules, expcuts::Config{});
 
   // Give one specific node maximal heat; it must land first within its
   // level's contiguous span (lowest offset among same-level nodes).
   expcuts::FlatLayoutHints hints;
   std::vector<u32> offsets;
   hints.node_offsets_out = &offsets;
-  hints.node_heat.assign(cls.nodes().size(), 0);
+  hints.node_heat.assign(tree.nodes.size(), 0);
   // Pick the last node of level 1 in build order so plain packing would
   // not put it first.
   std::size_t victim = 0;
-  for (std::size_t i = 0; i < cls.nodes().size(); ++i) {
-    if (cls.nodes()[i].level == 1) victim = i;
+  for (std::size_t i = 0; i < tree.nodes.size(); ++i) {
+    if (tree.nodes[i].level == 1) victim = i;
   }
   hints.node_heat[victim] = 1000;
-  const expcuts::FlatImage hot(cls.nodes(), cls.root(), cls.config(), true,
+  const expcuts::FlatImage hot(tree.nodes, tree.root, tree.cfg, true,
                                nullptr, &hints);
   u32 min_level1_off = 0xffffffffu;
   for (std::size_t i = 0; i < offsets.size(); ++i) {
-    if (cls.nodes()[i].level == 1) {
+    if (tree.nodes[i].level == 1) {
       min_level1_off = std::min(min_level1_off, offsets[i]);
     }
   }
@@ -267,7 +270,7 @@ TEST(HeatRelayout, HotNodesPackFirstWithinEachLevel) {
   // An image saved through the standalone overload round-trips and
   // passes the strict on-load audit.
   std::stringstream wire;
-  expcuts::save_image(wire, hot, cls.config());
+  expcuts::save_image(wire, hot, tree.cfg);
   const expcuts::LoadedImage li = expcuts::load_image(wire, /*strict=*/true);
   EXPECT_EQ(li.image.word_count(), hot.word_count());
 }

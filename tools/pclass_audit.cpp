@@ -21,8 +21,9 @@
 //       Compile a rule set and write its aggregated image — the
 //       golden-image producer for CI. Accepts the seed rule sets
 //       (FW01..CR04) and the scale tiers (FW-100k..ACL-1M; see
-//       workload/scalegen.hpp). --threads selects the parallel builder
-//       (0 = one per hardware thread), --budget caps the build's
+//       workload/scalegen.hpp). --threads sets the build workers
+//       (0 = one per hardware thread; the image is the same for every
+//       count), --budget caps the build's
 //       transient memory, degrading the stride instead of failing.
 //       --profile feeds a pclass-heat-v1 profile (from `profile` or the
 //       exporter) back into the layout-v2 packing: each level's hottest
@@ -55,6 +56,7 @@
 
 #include "audit/audit.hpp"
 #include "common/error.hpp"
+#include "expcuts/build_parallel.hpp"
 #include "expcuts/image_io.hpp"
 #include "hicuts/hicuts.hpp"
 #include "hsm/hsm.hpp"
@@ -146,8 +148,8 @@ int cmd_build(const std::string& name, const std::string& out, u32 threads,
   expcuts::Config cfg;
   cfg.build_threads = threads;
   cfg.memory_budget_bytes = budget_bytes;
-  const expcuts::ExpCutsClassifier cls(rules, cfg);
   if (profile_path.empty()) {
+    const expcuts::ExpCutsClassifier cls(rules, cfg);
     expcuts::save_image_file(out, cls);
     std::cerr << "pclass_audit: wrote " << out << " (" << rules.size()
               << " rules, " << cls.flat().word_count() << " words, stride "
@@ -156,27 +158,28 @@ int cmd_build(const std::string& name, const std::string& out, u32 threads,
   }
 
   // Profile-guided relayout. The heat profile keys nodes by word offset
-  // in the *unprofiled* image; the build above is deterministic, so a
-  // rebuild with the offset map exposed recovers that keying exactly.
-  check(cls.config().layout == expcuts::kLayoutAligned,
+  // in the *unprofiled* image; the build is deterministic, so emitting
+  // the tree with the offset map exposed recovers that keying exactly.
+  const expcuts::BuiltTree tree = expcuts::build_tree_parallel(rules, cfg);
+  check(tree.cfg.layout == expcuts::kLayoutAligned,
         "pclass_audit: --profile requires the layout-v2 (aligned) build");
+  const expcuts::Schedule sched =
+      expcuts::Schedule::make(tree.cfg.stride_w, tree.cfg.order);
   const telemetry::HeatProfile prof =
       telemetry::HeatProfile::load_json_file(profile_path);
   std::vector<u32> plain_offsets;
   expcuts::FlatLayoutHints offset_probe;
   offset_probe.node_offsets_out = &plain_offsets;
-  const expcuts::FlatImage plain(cls.nodes(), cls.root(), cls.config(),
+  const expcuts::FlatImage plain(tree.nodes, tree.root, tree.cfg,
                                  /*aggregated=*/true, nullptr, &offset_probe);
-  check(plain.word_count() == cls.flat().word_count(),
-        "pclass_audit: deterministic rebuild diverged from the classifier");
   expcuts::FlatLayoutHints heat_hints;
-  heat_hints.node_heat.resize(cls.nodes().size());
+  heat_hints.node_heat.resize(tree.nodes.size());
   u64 heated = 0;
   for (std::size_t i = 0; i < plain_offsets.size(); ++i) {
     heat_hints.node_heat[i] = prof.expcuts.visits(plain_offsets[i]);
     if (heat_hints.node_heat[i] != 0) ++heated;
   }
-  const expcuts::FlatImage hot(cls.nodes(), cls.root(), cls.config(),
+  const expcuts::FlatImage hot(tree.nodes, tree.root, tree.cfg,
                                /*aggregated=*/true, nullptr, &heat_hints);
 
   // Prove the permutation structure-preserving before it can ship: the
@@ -185,7 +188,7 @@ int cmd_build(const std::string& name, const std::string& out, u32 threads,
   audit::AuditOptions opts;
   opts.rule_count = static_cast<u32>(rules.size());
   const audit::AuditReport report =
-      audit::audit_flat_image(hot, cls.schedule().depth(), opts);
+      audit::audit_flat_image(hot, sched.depth(), opts);
   if (!report.ok()) {
     audit::write_json(std::cout, report, out);
     std::cout << "\n";
@@ -194,19 +197,17 @@ int cmd_build(const std::string& name, const std::string& out, u32 threads,
   }
   const Trace diff = make_profile_trace(rules, 20000);
   std::vector<RuleId> got(diff.size()), want(diff.size());
-  hot.lookup_batch(diff.packets().data(), got.data(), diff.size(),
-                   cls.schedule());
-  cls.flat().lookup_batch(diff.packets().data(), want.data(), diff.size(),
-                          cls.schedule());
+  hot.lookup_batch(diff.packets().data(), got.data(), diff.size(), sched);
+  plain.lookup_batch(diff.packets().data(), want.data(), diff.size(), sched);
   for (std::size_t i = 0; i < diff.size(); ++i) {
     check(got[i] == want[i],
           "pclass_audit: heat relayout changed a classification");
   }
-  expcuts::save_image_file(out, hot, cls.config());
+  expcuts::save_image_file(out, hot, tree.cfg);
   std::cerr << "pclass_audit: wrote " << out << " (" << rules.size()
             << " rules, " << hot.word_count() << " words, stride "
-            << cls.config().stride_w << ", heat-clustered: " << heated << "/"
-            << cls.nodes().size() << " nodes with samples)\n";
+            << tree.cfg.stride_w << ", heat-clustered: " << heated << "/"
+            << tree.nodes.size() << " nodes with samples)\n";
   return 0;
 }
 
@@ -260,13 +261,15 @@ int cmd_selftest() {
     const RuleSet rules = generate_paper_ruleset(name);
     const u32 n = static_cast<u32>(rules.size());
 
-    const expcuts::ExpCutsClassifier cls(rules);
+    const expcuts::BuiltTree tree =
+        expcuts::build_tree_parallel(rules, expcuts::Config{});
+    const expcuts::ExpCutsClassifier cls(tree);
     all_ok &= run_check(name + "/expcuts", audit::audit_classifier(cls));
 
     // The Fig. 6 "without aggregation" baseline shares the tree but lays
     // pointers out directly; it must satisfy the same invariants.
-    const expcuts::FlatImage flat_direct(cls.nodes(), cls.root(),
-                                         cls.config(), /*aggregated=*/false);
+    const expcuts::FlatImage flat_direct(tree.nodes, tree.root, cls.config(),
+                                         /*aggregated=*/false);
     audit::AuditOptions opts;
     opts.rule_count = n;
     all_ok &= run_check(

@@ -31,13 +31,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "classify/linear.hpp"
 #include "common/error.hpp"
-#include "expcuts/expcuts.hpp"
+#include "expcuts/build_parallel.hpp"
 #include "expcuts/flat.hpp"
 #include "hicuts/hicuts.hpp"
 #include "hsm/hsm.hpp"
@@ -334,14 +333,14 @@ int cmd_explain(const std::string& ruleset, const PacketHeader& h,
   if (opt.algo != "expcuts") {
     throw ConfigError("unknown --algo: " + opt.algo);
   }
-  const expcuts::ExpCutsClassifier cls(rules);
   // --direct explains the Fig. 6 unaggregated baseline: same tree, full
   // 2^w pointer arrays, no HABS rank step.
-  std::optional<expcuts::FlatImage> direct;
-  if (!opt.aggregated) {
-    direct.emplace(cls.nodes(), cls.root(), cls.config(), false);
-  }
-  const expcuts::FlatImage& img = opt.aggregated ? cls.flat() : *direct;
+  const expcuts::BuiltTree tree =
+      expcuts::build_tree_parallel(rules, expcuts::Config{});
+  const expcuts::FlatImage img(tree.nodes, tree.root, tree.cfg,
+                               opt.aggregated);
+  const expcuts::Schedule sched =
+      expcuts::Schedule::make(tree.cfg.stride_w, tree.cfg.order);
 
   const bool capture = !opt.chrome_trace.empty();
   if (capture) {
@@ -349,7 +348,7 @@ int cmd_explain(const std::string& ruleset, const PacketHeader& h,
     trace::Registry::global().set_enabled(true);
   }
   std::vector<expcuts::ExplainStep> steps;
-  const RuleId verdict = img.lookup_explained(h, cls.schedule(), steps);
+  const RuleId verdict = img.lookup_explained(h, sched, steps);
   if (capture) {
     trace::Registry::global().set_enabled(false);
     const trace::TraceSnapshot snap = trace::Registry::global().snapshot();
@@ -362,7 +361,7 @@ int cmd_explain(const std::string& ruleset, const PacketHeader& h,
   }
   if (opt.hw) {
     print_hw_for_path(
-        [&] { (void)img.lookup(h, cls.schedule(), /*trace=*/nullptr); });
+        [&] { (void)img.lookup(h, sched, /*trace=*/nullptr); });
   }
 
   if (opt.json) {
@@ -377,19 +376,19 @@ int cmd_explain(const std::string& ruleset, const PacketHeader& h,
        << "  \"image\": {\"aggregated\":"
        << (img.aggregated() ? "true" : "false")
        << ",\"stride_w\":" << img.stride() << ",\"u\":" << img.cpa_sub_log2()
-       << ",\"depth\":" << cls.schedule().depth()
+       << ",\"depth\":" << sched.depth()
        << ",\"words\":" << img.word_count() << "},\n"
        << "  \"steps\": ";
-    print_steps_json(os, steps, cls.schedule());
+    print_steps_json(os, steps, sched);
     return report_verdict(rules, h, verdict, opt, /*json_needs_comma=*/true);
   }
   std::cout << "ruleset: " << ruleset << " (" << rules.size()
             << " rules)\npacket:  " << h.str() << "\nimage:   "
             << (img.aggregated() ? "aggregated" : "unaggregated")
             << " w=" << img.stride() << " u=" << img.cpa_sub_log2()
-            << " depth=" << cls.schedule().depth()
+            << " depth=" << sched.depth()
             << " words=" << img.word_count() << "\n\n";
-  print_steps(std::cout, steps, cls.schedule(), img.aggregated());
+  print_steps(std::cout, steps, sched, img.aggregated());
   std::cout << "\n";
   return report_verdict(rules, h, verdict, opt, false);
 }
