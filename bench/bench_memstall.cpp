@@ -17,11 +17,14 @@
 //
 // On hosts without a PMU (most VMs, perf_event_paranoid >= 3 containers)
 // the bench still runs and reports throughput + logical depth; the hw
-// block records the tier and the reason, and the hw columns print "-".
+// block records the tier and the reason, the hw columns print "-", each
+// row's `hw_ok` is false and its derived rates are null, never 0.
 //
 //   --quick    12k tiers only, fewer packets/reps (the CI hw-smoke lane)
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -44,6 +47,21 @@ using namespace pclass;
 std::string hw_col(double v, bool present, int decimals = 2) {
   if (!present) return "-";
   return format_fixed(v, decimals);
+}
+
+/// A hw-derived JSON rate, or NaN (written as null) when the counter was
+/// unavailable — a missing counter is not a measured zero.
+double hw_rate(double v, bool present) {
+  return present ? v : std::numeric_limits<double>::quiet_NaN();
+}
+
+/// True when at least one hardware PMU event was read (software-tier
+/// readings carry only kernel events).
+bool read_hardware(const perf::Reading& r) {
+  return r.ok && std::any_of(r.counters.begin(), r.counters.end(),
+                             [](const perf::CounterValue& c) {
+                               return perf::event_is_hardware(c.spec.event);
+                             });
 }
 
 struct LayoutRun {
@@ -155,10 +173,11 @@ void run_tier(bench::BenchReport& report, const std::string& set,
     const bool llc = r.hw.has(perf::Event::kLlcMisses);
     const bool dtlb = r.hw.has(perf::Event::kDtlbMisses);
     const bool cyc = r.hw.has(perf::Event::kCycles);
+    const bool ipc = cyc && r.hw.has(perf::Event::kInstructions);
     t.add(r.name, r.words, format_fixed(r.mpps, 2),
           format_fixed(r.mean_levels, 2), depth_p99,
           hw_col(d.llc_misses_per_lookup, llc, 3),
-          hw_col(d.dtlb_misses_per_lookup, dtlb, 4), hw_col(d.ipc, cyc),
+          hw_col(d.dtlb_misses_per_lookup, dtlb, 4), hw_col(d.ipc, ipc),
           hw_col(d.cycles_per_level, cyc, 1));
     report.add_row()
         .set("set", set)
@@ -167,12 +186,13 @@ void run_tier(bench::BenchReport& report, const std::string& set,
         .set("batch_mpps", r.mpps)
         .set("mean_levels", r.mean_levels)
         .set("depth_p99", depth_p99)
-        .set("hw_ok", r.hw.ok)
-        .set("llc_misses_per_lookup", d.llc_misses_per_lookup)
-        .set("dtlb_misses_per_lookup", d.dtlb_misses_per_lookup)
-        .set("cycles_per_lookup", d.cycles_per_lookup)
-        .set("ipc", d.ipc)
-        .set("cycles_per_level", d.cycles_per_level);
+        .set("hw_ok", read_hardware(r.hw))
+        .set("llc_misses_per_lookup", hw_rate(d.llc_misses_per_lookup, llc))
+        .set("dtlb_misses_per_lookup",
+             hw_rate(d.dtlb_misses_per_lookup, dtlb))
+        .set("cycles_per_lookup", hw_rate(d.cycles_per_lookup, cyc))
+        .set("ipc", hw_rate(d.ipc, ipc))
+        .set("cycles_per_level", hw_rate(d.cycles_per_level, cyc));
     report.add_hw(set + "/" + r.name, r.hw, r.lookups, r.levels_walked);
     report.hw_lookups(r.lookups, r.levels_walked);
   }
